@@ -1,7 +1,8 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test check-docs api-docs check-api-docs bench bench-smoke bench-baseline bench-gate memory-gate
+.PHONY: test check-docs api-docs check-api-docs bench bench-smoke bench-baseline bench-gate memory-gate \
+	perfbench-smoke
 
 ## tier-1 verification gate
 test:
@@ -35,6 +36,15 @@ bench-smoke:
 		benchmarks/bench_e12_sim_live.py \
 		benchmarks/bench_streaming_audit.py benchmarks/bench_parallel_engine.py \
 		-q --benchmark-disable
+
+## repo benchmark smoke: short checked runs of both workloads (every operation
+## must commit everything, stay serializable and atomic, and match its pinned
+## digest) plus one traced run; fails on a non-zero exit code
+perfbench-smoke:
+	for workload in stream-uniform contended-2pc; do \
+		$(PY) perfbench/run.py --workload $$workload --seed 0 --seconds 5 --trace 0 || exit 1; \
+	done
+	$(PY) perfbench/run.py --workload stream-uniform --seed 0 --seconds 5 --trace 1
 
 ## full pytest-benchmark run of the hot-path micros
 bench:

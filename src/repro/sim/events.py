@@ -17,6 +17,11 @@ reclaimed.  Reclamation happens in three places, and only these three:
 The queue tracks a live-event counter maintained by :meth:`push`,
 :meth:`pop` and :meth:`Event.cancel`, so ``len(queue)`` and ``bool(queue)``
 are O(1) instead of a scan of the heap.
+
+The heap holds ``(time, priority, seq, event)`` tuples rather than the
+events themselves, so sifting compares plain numbers in C instead of
+calling the dataclass ``__lt__``.  ``seq`` is unique, so a comparison never
+reaches the event and the order is exactly the events' own.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ class EventQueue:
     """
 
     def __init__(self, counter: Optional["itertools.count"] = None) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = counter if counter is not None else itertools.count()
         self._live = 0        # non-cancelled events still in the heap
         self._cancelled = 0   # cancelled events awaiting reclamation
@@ -88,15 +93,16 @@ class EventQueue:
         label: str = "",
     ) -> Event:
         """Insert a callback to fire at ``time`` and return its event handle."""
+        seq = next(self._counter)
         event = Event(
             time=time,
             priority=priority,
-            seq=next(self._counter),
+            seq=seq,
             callback=callback,
             label=label,
             _queue=self,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
@@ -106,7 +112,7 @@ class EventQueue:
         Cancelled events encountered at the head are reclaimed on the way.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -127,17 +133,17 @@ class EventQueue:
         engine uses it to compare the heads of several queues by the full
         ``(time, priority, seq)`` order, not just their times.
         """
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
             self._cancelled -= 1
         if not self._heap:
             return None
-        return self._heap[0]
+        return self._heap[0][3]
 
     def clear(self) -> None:
         """Drop every pending event."""
-        for event in self._heap:
-            event._queue = None
+        for entry in self._heap:
+            entry[3]._queue = None
         self._heap.clear()
         self._live = 0
         self._cancelled = 0
@@ -154,6 +160,6 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled debris in one O(n) pass."""
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0

@@ -231,7 +231,12 @@ class RequestIssuerActor(Actor):
         self._commit: CommitProtocol = create_commit_protocol(
             self._commit_config.protocol, self
         )
+        # Only transactions still in flight keep their execution here: the
+        # FINISHED transition retires it, leaving the committed attempt in
+        # ``_retired``, so per-scan work and memory follow the open
+        # transactions rather than the length of the run.
         self._executions: Dict[TransactionId, TransactionExecution] = {}
+        self._retired: Dict[TransactionId, int] = {}
         self._timestamp_counter = 0
         self._protocol_switches = 0
 
@@ -304,7 +309,12 @@ class RequestIssuerActor(Actor):
                 f"for {execution.tid}"
             )
         execution.status = status
-        if status is TransactionStatus.COMMITTED and self._audit_stream is not None:
+        if status is TransactionStatus.FINISHED:
+            # Retire: late replies now find no execution and are dropped,
+            # and a timer still holding the execution sees it FINISHED.
+            del self._executions[execution.tid]
+            self._retired[execution.tid] = execution.attempt
+        elif status is TransactionStatus.COMMITTED and self._audit_stream is not None:
             # The commit point: every path to COMMITTED funnels through this
             # transition, so the streaming audit learns exactly once which
             # attempt committed and which copies it must see quiesce.
@@ -418,13 +428,15 @@ class RequestIssuerActor(Actor):
         return tuple(
             tid
             for tid, execution in self._executions.items()
-            if execution.status not in (TransactionStatus.COMMITTED, TransactionStatus.FINISHED)
+            if execution.status is not TransactionStatus.COMMITTED
         )
 
     def execution_status(self, tid: TransactionId) -> Optional[TransactionStatus]:
         """The life-cycle status of ``tid``'s current attempt, or ``None``."""
         execution = self._executions.get(tid)
-        return execution.status if execution is not None else None
+        if execution is not None:
+            return execution.status
+        return TransactionStatus.FINISHED if tid in self._retired else None
 
     def committed_attempts(self) -> Dict[TransactionId, int]:
         """For every committed transaction, the attempt number that committed.
@@ -432,16 +444,21 @@ class RequestIssuerActor(Actor):
         The serializability oracle audits the view of the execution log
         restricted to these attempts; entries stranded by an abort message
         that a crashed site never received belong to no committed attempt
-        and are excluded.
+        and are excluded.  Finished transactions come first, in the order
+        they finished; no caller depends on the order.
         """
-        return {
-            tid: execution.attempt
-            for tid, execution in self._executions.items()
-            if execution.status in (TransactionStatus.COMMITTED, TransactionStatus.FINISHED)
-        }
+        committed = dict(self._retired)
+        for tid, execution in self._executions.items():
+            if execution.status is TransactionStatus.COMMITTED:
+                committed[tid] = execution.attempt
+        return committed
 
     def granted_lock_count(self, tid: TransactionId) -> int:
-        """Number of locks the transaction currently holds (victim-selection hint)."""
+        """Number of locks the transaction currently holds (victim-selection hint).
+
+        A finished transaction counts 0; with every request granted it can
+        never wait in a deadlock cycle, so the detector never asks about it.
+        """
         execution = self._executions.get(tid)
         if execution is None:
             return 0
